@@ -444,16 +444,19 @@ func elastic(o tiger.Options) error {
 		}
 	}
 	pts, err := tiger.RunElasticSweepAttr(o, arms, *attrFlag)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%7s %10s %6s %6s %7s %8s %7s %7s %8s %8s %7s %8s %8s %6s\n",
 		"dir", "arm", "cubs", "moves", "reroute", "copy", "drain", "total", "MB/s", "lost", "doubles", "viol", "active", "cap")
 	for _, p := range pts {
+		if p.Dir == "" {
+			continue // arm aborted before setup (its error is reported below)
+		}
 		fmt.Printf("%7s %10s %2d->%-3d %6d %7d %7.1fs %6.0fs %6.0fs %8.1f %8d %7d %8d %8d %6d\n",
 			p.Dir, p.Arm, p.FromCubs, p.TargetCubs, p.Moves, p.Rerouted,
 			p.CopySec, p.DrainSec, p.TotalSec, p.MoveMBps,
 			p.BlocksLost, p.DoubleServes, p.Violations, p.ActiveAfter, p.CapacityAfter)
+	}
+	if err != nil {
+		return err
 	}
 	if *attrFlag {
 		for _, p := range pts {

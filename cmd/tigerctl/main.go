@@ -16,6 +16,12 @@
 //
 //	tigerctl restripe -debug 127.0.0.1:9000
 //
+// Given a target cub count instead, it needs no server: it plans the
+// elastic restripe offline and projects how long the online mover takes
+// to copy the busiest source drive while the streams keep playing:
+//
+//	tigerctl restripe -from 14x4 -to 16 -files 64 -blocks 3600
+//
 // The why subcommand answers "why was this block late": it fetches the
 // causal hop chain of a traced block from the debug endpoint and prints
 // where the deadline slack went, hop by hop:
@@ -40,6 +46,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tiger/internal/core"
+	"tiger/internal/disk"
+	"tiger/internal/layout"
 	"tiger/internal/msg"
 	"tiger/internal/rt"
 )
@@ -227,11 +236,55 @@ func main() {
 
 // runRestripe scrapes a tigerd debug endpoint's /metrics and prints the
 // elastic-restripe status: the phase gauge, coordinator progress, and
-// the mover counters summed over every cub.
+// the mover counters summed over every cub. With -to it instead prints
+// the offline projection of an elastic restripe (projectRestripe).
 func runRestripe(args []string) {
 	fs := flag.NewFlagSet("restripe", flag.ExitOnError)
 	addr := fs.String("debug", "127.0.0.1:9000", "tigerd debug address (control port + 2000 by default)")
+	from := fs.String("from", "14x4", "projection: current shape, CUBSxDISKS")
+	to := fs.Int("to", 0, "projection: target cub count; selects the offline projection (no server)")
+	decl := fs.Int("decluster", 4, "projection: decluster factor")
+	nfiles := fs.Int("files", 64, "projection: number of files")
+	fblocks := fs.Int("blocks", 3600, "projection: blocks per file")
+	blockSize := fs.Int64("blocksize", 262144, "projection: bytes per block")
+	load := fs.Float64("load", 1.0, "projection: stream load fraction (1.0 = full planned capacity)")
+	budget := fs.Float64("budget", 0.5, "projection: fraction of idle disk time the mover may consume")
 	fs.Parse(args)
+
+	if *to > 0 {
+		var cubs, dpc int
+		if _, err := fmt.Sscanf(strings.ToLower(*from), "%dx%d", &cubs, &dpc); err != nil {
+			log.Fatalf("-from %q: want CUBSxDISKS", *from)
+		}
+		old := layout.Config{Cubs: cubs, DisksPerCub: dpc, Decluster: *decl}
+		if err := old.Validate(); err != nil {
+			log.Fatalf("-from %q: %v", *from, err)
+		}
+		if *budget <= 0 {
+			log.Fatalf("-budget %v: the mover needs some idle disk time", *budget)
+		}
+		target := layout.Config{Cubs: *to, DisksPerCub: dpc, Decluster: *decl}
+		files := make([]layout.File, *nfiles)
+		for i := range files {
+			files[i] = layout.File{ID: msg.FileID(i), StartDisk: (i * 7) % old.NumDisks(),
+				Blocks: *fblocks, BlockSize: *blockSize}
+		}
+		p, err := projectRestripe(old, target, files, *blockSize, *load, *budget)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("restripe %dx%d -> %d cubs (decluster %d)\n", cubs, dpc, *to, *decl)
+		fmt.Printf("  content         : %d files, %.1f GB primary\n",
+			*nfiles, float64(int64(*nfiles)*int64(*fblocks)**blockSize)/1e9)
+		fmt.Printf("  moves           : %d (%.1f GB including mirror pieces)\n", p.moves, float64(p.bytes)/1e9)
+		fmt.Printf("  busiest source  : cub %d disk %d, %d moves (%.2f GB)\n",
+			p.busiestCub, p.busiestIdx, p.busiestMoves, float64(p.busiestBytes)/1e9)
+		fmt.Printf("  capacity change : %d -> %d streams\n", p.streamsBefore, p.streamsAfter)
+		fmt.Printf("  mover rate      : at %.0f%% load (disk duty %.0f%%), %.1f copies/s per drive (%.2f MB/s)\n",
+			*load*100, p.duty*100, p.copiesPerSec, p.bytesPerSec/1e6)
+		fmt.Printf("  copy time       : ~%v, bounded by the busiest source drive\n", p.copyTime.Round(time.Second))
+		return
+	}
 
 	resp, err := http.Get("http://" + *addr + "/metrics")
 	if err != nil {
@@ -288,6 +341,67 @@ func runRestripe(args []string) {
 	fmt.Printf("moved in   : %.0f blocks (%.1f MB)\n",
 		sums["tiger_cub_moves_in_total"], sums["tiger_cub_move_bytes_in_total"]/1e6)
 	fmt.Printf("nacked     : %.0f move orders\n", sums["tiger_cub_moves_nacked_total"])
+}
+
+// projection is the offline forecast of an elastic restripe.
+type projection struct {
+	moves int   // len(PlanElastic(...).Moves)
+	bytes int64 // including mirror pieces
+
+	// The source drive that ships the most copies; it finishes last.
+	busiestCub   msg.NodeID
+	busiestIdx   int8
+	busiestMoves int
+	busiestBytes int64
+
+	streamsBefore, streamsAfter int
+	duty                        float64 // disk duty cycle the streams take
+	copiesPerSec, bytesPerSec   float64 // mover rate per drive
+	copyTime                    time.Duration
+}
+
+// projectRestripe plans the elastic restripe old -> target with the
+// planner the online restripe runs, and projects its copy phase. The
+// online mover trickles copies through idle disk-schedule time at the
+// rate core.ProjectedMoveRate gives for the stream load, one copy in
+// flight per drive, so the copy time is that of the source drive with
+// the most copies to ship — set by drive speed and content per drive,
+// not by system size (§2.2).
+func projectRestripe(old, target layout.Config, files []layout.File, blockSize int64, load, budget float64) (*projection, error) {
+	plan, err := layout.PlanElastic(old, target, files)
+	if err != nil {
+		return nil, err
+	}
+	// Per source drive, indexed cub*DisksPerCub + cub-local index.
+	moves := make([]int, old.NumDisks())
+	bytes := make([]int64, old.NumDisks())
+	for _, m := range plan.Moves {
+		d := int(m.FromCub)*old.DisksPerCub + int(m.FromIdx)
+		moves[d]++
+		bytes[d] += m.Bytes
+	}
+	busiest := 0
+	for d, n := range moves {
+		if n > moves[busiest] {
+			busiest = d
+		}
+	}
+	p := &projection{
+		moves:        len(plan.Moves),
+		bytes:        plan.BytesTotal,
+		busiestCub:   msg.NodeID(busiest / old.DisksPerCub),
+		busiestIdx:   int8(busiest % old.DisksPerCub),
+		busiestMoves: moves[busiest],
+		busiestBytes: bytes[busiest],
+	}
+
+	dp := disk.DefaultParams()
+	p.streamsBefore = disk.PlanCapacity(dp, old.NumDisks(), blockSize, time.Second, old.Decluster).Streams
+	p.streamsAfter = disk.PlanCapacity(dp, target.NumDisks(), blockSize, time.Second, target.Decluster).Streams
+	p.duty = min(1, core.PlanMoveCapacity(dp, blockSize, time.Second, old.Decluster)*load)
+	p.copiesPerSec, p.bytesPerSec = core.ProjectedMoveRate(dp, blockSize, time.Second, old.Decluster, load, budget)
+	p.copyTime = time.Duration(float64(p.busiestMoves) / p.copiesPerSec * float64(time.Second))
+	return p, nil
 }
 
 // whyChain is one line of the /debug/trace/{instance} ndjson body.

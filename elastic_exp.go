@@ -146,7 +146,9 @@ func elasticScenario(dir, arm string, fromCubs, target int, seed int64) (chaos.S
 // full capacity with short files (so the old generation drains by EOF
 // on experiment timescales, as DESIGN §13 describes), runs its chaos
 // scenario around a live restripe, drives the restripe to completion,
-// and then ramps into the new shape's capacity.
+// and then ramps into the new shape's capacity. The sweep fails when any
+// arm loses a block, serves one twice or records an invariant
+// violation; the points gathered so far are returned with the error.
 func RunElasticSweep(o Options, arms []string) ([]ElasticPoint, error) {
 	return RunElasticSweepAttr(o, arms, false)
 }
@@ -302,10 +304,13 @@ func RunElasticSweepAttr(o Options, arms []string, enableAttr bool) ([]ElasticPo
 			}
 		}
 		out[i] = pt
+		// The sweep's headline is its zero columns: an arm that loses a
+		// block, double-serves one or trips an invariant fails the sweep.
+		if pt.BlocksLost != 0 || pt.DoubleServes != 0 || pt.Violations != 0 {
+			return fmt.Errorf("%s %s: %d blocks lost, %d double serves, %d invariant violations (all must be 0)",
+				sp.dir, sp.arm, pt.BlocksLost, pt.DoubleServes, pt.Violations)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

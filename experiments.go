@@ -6,9 +6,9 @@ import (
 
 	"tiger/internal/core"
 	"tiger/internal/disk"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsched"
+	"tiger/internal/obs"
 	"tiger/internal/obs/attr"
 )
 
@@ -153,8 +153,8 @@ func RunFigure10(o Options, ramp RampSpec) (*Figure10Result, error) {
 		n   int
 	}
 	buckets := map[int]*agg{}
-	var floor metrics.Summary
-	var high metrics.Summary
+	var floor obs.Summary
+	var high obs.Summary
 	for _, p := range res.Points {
 		i := int(p.Load / bucketW)
 		a := buckets[i]
@@ -629,7 +629,7 @@ func RunRecovery(o Options, streams int, crashFor time.Duration) (*RecoveryResul
 	res.ViewTransferred = cs.ViewTransferred
 	res.MirrorsRetired = cs.MirrorsRetired
 	res.StaleEpochDrops = cs.StaleEpochDrops
-	res.RejoinTime = c.Cubs[victim].RecoveryTimes().Mean()
+	res.RejoinTime = time.Duration(c.Cubs[victim].RecoveryTimes().Mean() * float64(time.Second))
 	res.Violations = c.InvariantViolations()
 	return res, nil
 }
@@ -731,7 +731,7 @@ func RunFlashCrowd(o Options, viewers int, watch time.Duration) (*FlashCrowdResu
 	n := 0
 	for _, cub := range c.Cubs {
 		for id, d := range cub.Disks() {
-			duty := metrics.Load(before[id].busy, d.Stats().BusyTotal, wall)
+			duty := obs.Load(before[id].busy, d.Stats().BusyTotal, wall)
 			sum += duty
 			if duty > max {
 				max = duty

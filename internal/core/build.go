@@ -7,7 +7,6 @@ import (
 
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/schedule"
 )
@@ -29,7 +28,7 @@ type SystemSpec struct {
 	FileSeed   int64 // start-disk placement seed
 
 	DiskParams disk.Params
-	CPUModel   metrics.CPUModel
+	CPUModel   CPUModel
 }
 
 // BuildConfig expands a SystemSpec into a Config.
@@ -50,7 +49,7 @@ func BuildConfig(s SystemSpec) (*Config, error) {
 		s.DiskParams = disk.DefaultParams()
 	}
 	if s.CPUModel.PerDataByte == 0 {
-		s.CPUModel = metrics.DefaultCPUModel()
+		s.CPUModel = DefaultCPUModel()
 	}
 	lay := layout.Config{Cubs: s.Cubs, DisksPerCub: s.DisksPerCub, Decluster: s.Decluster}
 	if err := lay.Validate(); err != nil {

@@ -17,7 +17,6 @@ import (
 
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/schedule"
 )
@@ -80,7 +79,7 @@ type Config struct {
 	SingleForward bool
 
 	DiskParams disk.Params
-	CPUModel   metrics.CPUModel
+	CPUModel   CPUModel
 
 	// Health tunes the per-disk gray-failure monitor (DESIGN §12).
 	Health HealthParams

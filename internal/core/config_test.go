@@ -6,7 +6,6 @@ import (
 
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/schedule"
 )
@@ -20,7 +19,7 @@ func validConfig(t *testing.T) *Config {
 	}
 	cfg := &Config{
 		Layout: lay, Sched: sp, BlockSize: 262144,
-		DiskParams: disk.DefaultParams(), CPUModel: metrics.DefaultCPUModel(),
+		DiskParams: disk.DefaultParams(), CPUModel: DefaultCPUModel(),
 		Files: map[msg.FileID]layout.File{
 			1: {ID: 1, StartDisk: 0, Blocks: 100, BlockSize: 262144},
 		},

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"tiger/internal/clock"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -56,7 +56,7 @@ type Controller struct {
 	cfg *Config
 	clk clock.Clock
 	net Transport
-	cpu metrics.CPU
+	cpu CPU
 
 	nextInstance msg.InstanceID
 	plays        map[msg.InstanceID]*playRecord
@@ -89,7 +89,7 @@ type Controller struct {
 	scavPending map[msg.NodeID]bool
 	scavParked  map[msg.InstanceID]*ParkTicket
 	scavStart   sim.Time
-	takeover    *metrics.Histogram
+	takeover    *obs.Histogram
 
 	stats  ControllerStats
 	obs    *ctlObs         // nil until AttachObs
@@ -133,7 +133,7 @@ func NewController(cfg *Config, clk clock.Clock, net Transport) *Controller {
 		gens:     map[int32]*Config{0: cfg},
 		genLoad:  make(map[int32]int),
 		ctlEpoch: 1,
-		takeover: metrics.NewHistogram(RecoveryBounds...),
+		takeover: obs.NewHistogram(recoveryBounds),
 	}
 	c.cpu.Model = cfg.CPUModel
 	return c

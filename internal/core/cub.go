@@ -8,9 +8,9 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 	"tiger/internal/trace"
 )
@@ -232,7 +232,7 @@ type Cub struct {
 	rejoinActive  bool
 	rejoinPending map[msg.NodeID]bool
 	rejoinStart   sim.Time
-	recovery      *metrics.Histogram
+	recovery      *obs.Histogram
 
 	fwdPending map[msg.NodeID][]msg.Message // batch under assembly
 	// fwdHeap is a min-heap of primary entry keys not yet forwarded,
@@ -257,9 +257,9 @@ type Cub struct {
 	// idle-budget pacing bookkeeping. Volatile — wiped on Restart.
 	mover moverState
 
-	cpu    metrics.CPU
+	cpu    CPU
 	stats  CubStats
-	loss   *metrics.LossLog
+	loss   *obs.LossLog
 	hooks  Hooks
 	obs    *cubObs         // nil until AttachObs
 	ctrace *trace.ChainLog // nil until SetChainLog; causal hop recorder
@@ -298,7 +298,7 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 		parkedTickets:  make(map[msg.InstanceID]msg.ScavengedPark),
 		epoch:          1,
 		peerEpoch:      make(map[msg.NodeID]int32),
-		recovery:       metrics.NewHistogram(RecoveryBounds...),
+		recovery:       obs.NewHistogram(recoveryBounds),
 		fwdPending:     make(map[msg.NodeID][]msg.Message),
 	}
 	c.cpu.Model = cfg.CPUModel
@@ -366,8 +366,9 @@ func (c *Cub) FailedDisks() int { return len(c.failedDisks) }
 // health-quarantined — the probed subset of FailedDisks.
 func (c *Cub) QuarantinedDisks() int { return len(c.quarantined) }
 
-// RecoveryTimes returns the restart-to-reintegration duration histogram.
-func (c *Cub) RecoveryTimes() *metrics.Histogram { return c.recovery }
+// RecoveryTimes returns the restart-to-reintegration duration histogram,
+// in seconds. An attached registry exports this same histogram.
+func (c *Cub) RecoveryTimes() *obs.Histogram { return c.recovery }
 
 // CPUBusy returns cumulative modelled CPU busy time.
 func (c *Cub) CPUBusy() time.Duration { return c.cpu.Busy() }
@@ -395,7 +396,7 @@ func (c *Cub) NativeDiskKey(idx int) int { return idx*c.nativeCubs + int(c.id) }
 func (c *Cub) DiskByIndex(idx int) *disk.Disk { return c.disks[c.NativeDiskKey(idx)] }
 
 // SetLossLog directs server-side miss reports to a shared loss log.
-func (c *Cub) SetLossLog(l *metrics.LossLog) { c.loss = l }
+func (c *Cub) SetLossLog(l *obs.LossLog) { c.loss = l }
 
 // SetHooks installs observation hooks (tests only).
 func (c *Cub) SetHooks(h Hooks) { c.hooks = h }

@@ -88,7 +88,6 @@ type cubObs struct {
 	epoch    *obs.Gauge
 
 	startWait *obs.Histogram
-	recovery  *obs.Histogram
 	spans     *obs.SpanRecorder
 }
 
@@ -162,11 +161,7 @@ func (c *Cub) AttachObs(reg *obs.Registry) {
 		startWait: reg.Histogram("tiger_cub_start_wait_seconds", "Queue-to-insertion wait of start requests.", ls, startWaitBounds),
 		spans:     obs.NewSpanRecorder(reg, ls),
 	}
-	rb := make([]float64, len(RecoveryBounds))
-	for i, d := range RecoveryBounds {
-		rb[i] = d.Seconds()
-	}
-	o.recovery = reg.Histogram("tiger_cub_recovery_seconds", "Restart-to-reintegration time.", ls, rb)
+	reg.AddHistogram("tiger_cub_recovery_seconds", "Restart-to-reintegration time.", ls, c.recovery)
 	o.epoch.Set(float64(c.epoch))
 	c.obs = o
 
@@ -220,10 +215,9 @@ type ctlObs struct {
 	resumesTotal *obs.Counter
 
 	// Controller failover (scavenge.go).
-	epoch        *obs.Gauge
-	takeovers    *obs.Counter
-	scavReplies  *obs.Counter
-	takeoverTime *obs.Histogram
+	epoch       *obs.Gauge
+	takeovers   *obs.Counter
+	scavReplies *obs.Counter
 }
 
 // AttachObs registers the controller's instruments with the registry.
@@ -252,10 +246,6 @@ func (c *Controller) AttachObs(reg *obs.Registry) {
 		takeovers:   reg.Counter("tiger_ctrl_takeovers_total", "Controller incarnation restarts performed.", nil),
 		scavReplies: reg.Counter("tiger_ctrl_scavenge_replies_total", "Cub inventory replies folded during takeovers.", nil),
 	}
-	tb := make([]float64, len(RecoveryBounds))
-	for i, d := range RecoveryBounds {
-		tb[i] = d.Seconds()
-	}
-	c.obs.takeoverTime = reg.Histogram("tiger_ctrl_takeover_seconds", "Restart-to-rebuilt duration of controller takeovers.", nil, tb)
+	reg.AddHistogram("tiger_ctrl_takeover_seconds", "Restart-to-rebuilt duration of controller takeovers.", nil, c.takeover)
 	c.obs.epoch.Set(float64(c.ctlEpoch))
 }

@@ -7,9 +7,9 @@ import (
 	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/obs"
 	"tiger/internal/schedule"
 	"tiger/internal/sim"
 )
@@ -23,7 +23,7 @@ type rig struct {
 	cfg  *Config
 	ctl  *Controller
 	cubs []*Cub
-	loss *metrics.LossLog
+	loss *obs.LossLog
 
 	// deliveries[viewer][playseq] = pieces received
 	deliveries map[msg.ViewerID]map[int32]int
@@ -68,7 +68,7 @@ func newRig(t *testing.T, o rigOptions) *rig {
 	}
 	cfg := &Config{
 		Layout: lay, Sched: sp, BlockSize: blockSize,
-		DiskParams: dp, CPUModel: metrics.DefaultCPUModel(), Files: files,
+		DiskParams: dp, CPUModel: DefaultCPUModel(), Files: files,
 	}
 	cfg.DefaultTimings()
 	if o.mutate != nil {
@@ -83,7 +83,7 @@ func newRig(t *testing.T, o rigOptions) *rig {
 	net := netsim.New(netsim.DefaultParams(), clk, eng.Rand())
 	r := &rig{
 		t: t, eng: eng, net: net, cfg: cfg,
-		loss:       &metrics.LossLog{},
+		loss:       &obs.LossLog{},
 		deliveries: make(map[msg.ViewerID]map[int32]int),
 		lastInst:   make(map[msg.ViewerID]msg.InstanceID),
 	}

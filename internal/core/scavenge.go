@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 )
 
@@ -299,12 +299,10 @@ func (c *Controller) finishScavenge() {
 	}
 	c.scavParked = nil
 
-	d := c.clk.Now().Sub(c.scavStart)
-	c.takeover.Observe(d)
+	c.takeover.Observe(c.clk.Now().Sub(c.scavStart).Seconds())
 	if o := c.obs; o != nil {
 		o.active.Set(float64(c.active))
 		o.parked.Set(float64(len(g.parked)))
-		o.takeoverTime.Observe(d.Seconds())
 	}
 	if c.OnScavenged != nil {
 		c.OnScavenged()
@@ -319,8 +317,9 @@ func (c *Controller) finishScavenge() {
 	c.ensureGovTick()
 }
 
-// TakeoverTimes returns the histogram of restart-to-rebuilt durations.
-func (c *Controller) TakeoverTimes() *metrics.Histogram { return c.takeover }
+// TakeoverTimes returns the histogram of restart-to-rebuilt durations,
+// in seconds. An attached registry exports this same histogram.
+func (c *Controller) TakeoverTimes() *obs.Histogram { return c.takeover }
 
 // ResumeRestripe re-drives an elastic plan after a takeover. The wiped
 // coordinator re-issues every move as pending; sources dedup orders

@@ -7,8 +7,8 @@ import (
 )
 
 // ElasticMove is one block (or mirror piece) that must change homes when
-// the cub count changes. Unlike Move, endpoints are named by physical
-// identity — (cub, cub-local disk index) — because raw disk numbers are
+// the cub count changes. Endpoints are named by physical identity —
+// (cub, cub-local disk index) — because raw disk numbers are
 // renumbered when the cub count changes: disk 5 of a 14-cub array and
 // disk 5 of a 16-cub array are different spindles. A block whose number
 // changes but whose spindle does not must not be copied.

@@ -2,8 +2,9 @@
 // dependency-free metrics registry with named, labelled instruments
 // (counters, gauges, bounded histograms), a Prometheus-text-format
 // encoder for tigerd's /metrics endpoint, a JSONL snapshot export for
-// machine-readable run artifacts, and a block-lifecycle span recorder
-// (span.go).
+// machine-readable run artifacts, a block-lifecycle span recorder
+// (span.go), and the plain accumulators experiments read directly
+// (stats.go: Summary, LossLog, Load).
 //
 // All instruments are safe for concurrent use: the simulator drives
 // them from one goroutine, but under the rt runtime every cub's
@@ -91,7 +92,23 @@ type Histogram struct {
 	bounds []float64
 	counts []uint64 // len(bounds)+1; the last is the +Inf overflow bucket
 	sum    float64
+	max    float64
 	n      uint64
+}
+
+// NewHistogram builds a histogram with the given ascending upper bounds
+// that no registry exports yet; Registry.AddHistogram exports it later.
+// Nodes that may run without a registry keep their histograms this way.
+func NewHistogram(bounds []float64) *Histogram {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic("obs: histogram bounds must ascend")
+		}
+	}
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]uint64, len(bounds)+1),
+	}
 }
 
 // Observe records one sample.
@@ -100,6 +117,9 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
 	h.sum += v
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
 	h.n++
 	h.mu.Unlock()
 }
@@ -116,6 +136,23 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
+}
+
+// Mean returns the mean observation (0 when empty).
+func (h *Histogram) Mean() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.n == 0 {
+		return 0
+	}
+	return h.sum / float64(h.n)
+}
+
+// Max returns the largest observation (0 when empty).
+func (h *Histogram) Max() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.max
 }
 
 // snapshot returns copies of the bucket counts, sum, and count.
@@ -256,17 +293,14 @@ func (r *Registry) GaugeFunc(name, help string, ls Labels, fn func() float64) {
 // ascending upper bounds, creating it on first use. Bounds are only
 // consulted at creation; later calls reuse the existing buckets.
 func (r *Registry) Histogram(name, help string, ls Labels, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds must ascend", name))
-		}
-	}
-	s := r.get(name, help, kindHistogram, ls, func() *series {
-		return &series{hist: &Histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]uint64, len(bounds)+1),
-		}}
-	})
+	return r.AddHistogram(name, help, ls, NewHistogram(bounds))
+}
+
+// AddHistogram exports h under the given name and labels and returns the
+// histogram the registry holds there: h itself, unless that series
+// already exists.
+func (r *Registry) AddHistogram(name, help string, ls Labels, h *Histogram) *Histogram {
+	s := r.get(name, help, kindHistogram, ls, func() *series { return &series{hist: h} })
 	if s.hist == nil {
 		panic(fmt.Sprintf("obs: %q{%s} is not a histogram", name, canonLabels(ls)))
 	}

@@ -28,16 +28,26 @@ type CubHost struct {
 func StartCubHost(id msg.NodeID, cfg *core.Config, listenAddr string,
 	addrs map[msg.NodeID]string, epoch time.Time, seed int64) (*CubHost, error) {
 	node := NewNode(epoch)
-	var cub *core.Cub
+	// live is set and read only on the node's executor. Peers may connect
+	// as soon as the mesh listens, before the cub is built; their
+	// messages are dropped, as a network drops them to a host not yet up.
+	var live *core.Cub
 	mesh, err := NewMesh(id, node, listenAddr, addrs,
-		func(from msg.NodeID, m msg.Message) { cub.Deliver(from, m) })
+		func(from msg.NodeID, m msg.Message) {
+			if live != nil {
+				live.Deliver(from, m)
+			}
+		})
 	if err != nil {
 		node.Close()
 		return nil, err
 	}
-	cub = core.NewCub(id, cfg, node, mesh, mesh, rand.New(rand.NewSource(seed)))
+	cub := core.NewCub(id, cfg, node, mesh, mesh, rand.New(rand.NewSource(seed)))
 	mesh.SetEpoch(cub.Epoch())
-	node.Do(cub.Start)
+	node.Do(func() {
+		live = cub
+		cub.Start()
+	})
 	return &CubHost{Node: node, Mesh: mesh, Cub: cub}, nil
 }
 

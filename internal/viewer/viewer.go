@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"tiger/internal/clock"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 )
 
@@ -68,7 +68,7 @@ type Viewer struct {
 	slack     time.Duration
 
 	machine *Machine
-	loss    *metrics.LossLog
+	loss    *obs.LossLog
 
 	instance    msg.InstanceID
 	file        msg.FileID
@@ -123,7 +123,7 @@ func (p partState) complete() bool {
 
 // New creates a viewer. slack is the grace period after a block's
 // nominal arrival time before it is declared lost.
-func New(id msg.ViewerID, clk clock.Clock, blockPlay, slack time.Duration, machine *Machine, loss *metrics.LossLog) *Viewer {
+func New(id msg.ViewerID, clk clock.Clock, blockPlay, slack time.Duration, machine *Machine, loss *obs.LossLog) *Viewer {
 	return &Viewer{
 		ID:        id,
 		clk:       clk,

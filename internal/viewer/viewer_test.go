@@ -6,17 +6,17 @@ import (
 	"time"
 
 	"tiger/internal/clock"
-	"tiger/internal/metrics"
 	"tiger/internal/netsim"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 )
 
 const bp = time.Second
 
-func newViewer(t *testing.T) (*sim.Engine, *Viewer, *metrics.LossLog) {
+func newViewer(t *testing.T) (*sim.Engine, *Viewer, *obs.LossLog) {
 	t.Helper()
 	eng := sim.New(1)
-	loss := &metrics.LossLog{}
+	loss := &obs.LossLog{}
 	v := New(1, clock.Sim{Eng: eng}, bp, 500*time.Millisecond, nil, loss)
 	return eng, v, loss
 }
@@ -194,7 +194,7 @@ func TestStaleInstanceIgnored(t *testing.T) {
 func TestMachineOverloadDrops(t *testing.T) {
 	eng := sim.New(1)
 	m := NewMachine(2, 1.0, rand.New(rand.NewSource(3))) // always drop when over
-	loss := &metrics.LossLog{}
+	loss := &obs.LossLog{}
 	v := New(1, clock.Sim{Eng: eng}, bp, 500*time.Millisecond, m, loss)
 	v.Begin(42, 0, 0, 1)
 	m.Attach()

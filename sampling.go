@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"tiger/internal/clock"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
+	"tiger/internal/obs"
 	"tiger/internal/sim"
 )
 
@@ -98,13 +98,13 @@ func (s *Sampler) Sample() LoadSample {
 		if c.Net.Failed(msg.NodeID(i)) {
 			continue
 		}
-		cpuSum += metrics.Load(prev.cubBusy[i], cur.cubBusy[i], wall)
+		cpuSum += obs.Load(prev.cubBusy[i], cur.cubBusy[i], wall)
 		live++
 	}
 	if live > 0 {
 		out.CubCPU = cpuSum / float64(live)
 	}
-	out.CtrlCPU = metrics.Load(prev.ctrlBusy, cur.ctrlBusy, wall)
+	out.CtrlCPU = obs.Load(prev.ctrlBusy, cur.ctrlBusy, wall)
 
 	var diskSum float64
 	diskN := 0
@@ -121,7 +121,7 @@ func (s *Sampler) Sample() LoadSample {
 		if c.Net.Failed(cub) {
 			continue
 		}
-		load := metrics.Load(prev.diskBusy[id], busy, wall)
+		load := obs.Load(prev.diskBusy[id], busy, wall)
 		diskSum += load
 		diskN++
 		if mirrorDisks[id] {

@@ -28,7 +28,6 @@ import (
 	"tiger/internal/core"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
-	"tiger/internal/metrics"
 	"tiger/internal/msg"
 	"tiger/internal/netsim"
 	"tiger/internal/obs"
@@ -60,7 +59,7 @@ type Options struct {
 	// Models.
 	DiskParams disk.Params
 	NetParams  netsim.Params
-	CPUModel   metrics.CPUModel
+	CPUModel   core.CPUModel
 
 	// Protocol timings; zero fields take the paper's defaults.
 	MinVStateLead     time.Duration
@@ -145,7 +144,7 @@ func DefaultOptions() Options {
 		FileBlocks:        3600,
 		DiskParams:        disk.DefaultParams(),
 		NetParams:         netsim.DefaultParams(),
-		CPUModel:          metrics.DefaultCPUModel(),
+		CPUModel:          core.DefaultCPUModel(),
 		ViewersPerMachine: 20,
 		ClientDropProb:    0.000004,
 		ViewerSlack:       500 * time.Millisecond,
@@ -163,7 +162,7 @@ type Cluster struct {
 	Net        *netsim.Network
 	Controller *core.Controller
 	Cubs       []*core.Cub
-	Loss       *metrics.LossLog
+	Loss       *obs.LossLog
 
 	// sharded is the conservative parallel coordinator driving all
 	// engines; nil for a single-engine cluster. engines[0] == Eng.
@@ -172,7 +171,7 @@ type Cluster struct {
 
 	// StartupLatency accumulates request→first-byte times with the
 	// schedule load at request time (Figure 10's two axes).
-	StartupLatency *metrics.Summary
+	StartupLatency *obs.Summary
 	StartupPoints  []StartupPoint
 
 	capacity disk.Capacity
@@ -340,8 +339,8 @@ func New(o Options) (*Cluster, error) {
 		Eng:            eng,
 		Net:            net,
 		engines:        engines,
-		Loss:           &metrics.LossLog{},
-		StartupLatency: &metrics.Summary{},
+		Loss:           &obs.LossLog{},
+		StartupLatency: &obs.Summary{},
 		capacity:       capa,
 		rng:            rand.New(rand.NewSource(o.Seed + 2)),
 		streams:        make(map[msg.InstanceID]*Stream),
