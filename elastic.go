@@ -226,10 +226,10 @@ func (c *Cluster) StartRestripe(targetCubs int) error {
 	newGen := oldGen + 1
 
 	// Install the new generation everywhere before any move can land:
-	// destinations index their drives under the new placement at install
-	// time. Existing cubs (including, on a shrink, the retiring ones —
-	// they hold the plane purely to fence) first, then the controller,
-	// then any newly created cubs.
+	// destinations locate copies on their drives under the new
+	// placement from install time on. Existing cubs (including, on a
+	// shrink, the retiring ones — they hold the plane purely to fence)
+	// first, then the controller, then any newly created cubs.
 	c.Controller.InstallGen(newGen, cfg1)
 	for _, cub := range c.Cubs {
 		cub.InstallGen(newGen, cfg1)

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"tiger/internal/clock"
 	"tiger/internal/disk"
 	"tiger/internal/layout"
 	"tiger/internal/msg"
+	"tiger/internal/netsim"
 	"tiger/internal/schedule"
+	"tiger/internal/sim"
 )
 
 func validConfig(t *testing.T) *Config {
@@ -82,37 +86,27 @@ func TestIndexCoversExactlyLocalCopies(t *testing.T) {
 	cfg := validConfig(t)
 	f2 := layout.File{ID: 2, StartDisk: 3, Blocks: 37, BlockSize: 262144}
 	cfg.Files[2] = f2
-	for cub := msg.NodeID(0); cub < 4; cub++ {
-		disks := cfg.Layout.DisksOfCub(cub)
-		idx := buildIndexes(cfg, disks)
-		for _, d := range disks {
-			// Every primary and secondary the layout places here must be
-			// present, and nothing else.
-			want := 0
-			for _, f := range cfg.Files {
-				for b := 0; b < f.Blocks; b++ {
-					if cfg.Layout.PrimaryDisk(f, b) == d {
-						want++
-						if _, err := idx[d].lookup(f.ID, int32(b), -1); err != nil {
-							t.Fatal(err)
-						}
+	// Every primary and secondary the layout places on a disk is found
+	// there, and no copy is found anywhere else.
+	for d := 0; d < cfg.Layout.NumDisks(); d++ {
+		for _, f := range cfg.Files {
+			for b := 0; b < f.Blocks; b++ {
+				e, err := locate(cfg, d, f.ID, int32(b), -1)
+				if here := cfg.Layout.PrimaryDisk(f, b) == d; here != (err == nil) {
+					t.Fatalf("disk %d file %d block %d primary: placed here %v, lookup err %v", d, f.ID, b, here, err)
+				}
+				if err == nil && (e.zone != disk.Outer || e.bytes != cfg.BlockSize) {
+					t.Fatalf("primary located as %+v", e)
+				}
+				for part := 0; part < cfg.Layout.Decluster; part++ {
+					e, err := locate(cfg, d, f.ID, int32(b), int8(part))
+					if here := cfg.Layout.SecondaryDisk(f, b, part) == d; here != (err == nil) {
+						t.Fatalf("disk %d file %d block %d part %d: placed here %v, lookup err %v", d, f.ID, b, part, here, err)
 					}
-					for part := 0; part < cfg.Layout.Decluster; part++ {
-						if cfg.Layout.SecondaryDisk(f, b, part) == d {
-							want++
-							e, err := idx[d].lookup(f.ID, int32(b), int8(part))
-							if err != nil {
-								t.Fatal(err)
-							}
-							if e.zone != disk.Inner {
-								t.Fatal("secondary not in the inner zone")
-							}
-						}
+					if err == nil && (e.zone != disk.Inner || e.bytes != cfg.MirrorPartSize()) {
+						t.Fatalf("secondary located as %+v", e)
 					}
 				}
-			}
-			if idx[d].size() != want {
-				t.Fatalf("disk %d indexes %d copies, want %d", d, idx[d].size(), want)
 			}
 		}
 	}
@@ -120,35 +114,54 @@ func TestIndexCoversExactlyLocalCopies(t *testing.T) {
 
 func TestIndexLookupMiss(t *testing.T) {
 	cfg := validConfig(t)
-	idx := buildIndexes(cfg, []int{0})
-	if _, err := idx[0].lookup(99, 0, -1); err == nil {
-		t.Fatal("missing file looked up successfully")
+	f := cfg.Files[1]
+	on := cfg.Layout.PrimaryDisk(f, 5)
+	for _, tc := range []struct {
+		name  string
+		disk  int
+		file  msg.FileID
+		block int32
+		part  int8
+	}{
+		{"unknown file", 0, 99, 0, -1},
+		{"negative block", on, 1, -1, -1},
+		{"block past the end", on, 1, int32(f.Blocks), -1},
+		{"part past the decluster", on, 1, 5, int8(cfg.Layout.Decluster)},
+		{"wrong disk", (on + 1) % cfg.Layout.NumDisks(), 1, 5, -1},
+	} {
+		if _, err := locate(cfg, tc.disk, tc.file, tc.block, tc.part); err == nil {
+			t.Errorf("%s: located successfully", tc.name)
+		}
 	}
 }
 
-// TestIndexScalesWithContentNotSystem confirms the paper's argument for
-// a memory-resident index: metadata per disk depends on content volume
-// per disk, not on system size.
+// TestIndexScalesWithContentNotSystem confirms that a cub keeps no
+// per-block metadata: the paper holds block locations in cub memory
+// (§4.1.1), and here the striping arithmetic is that memory, so
+// building a cub costs the same whatever the length of the content.
 func TestIndexScalesWithContentNotSystem(t *testing.T) {
-	perDisk := func(cubs int) int {
-		lay := layout.Config{Cubs: cubs, DisksPerCub: 1, Decluster: 2}
-		sp, err := schedule.NewParams(time.Second, cubs, cubs*10)
-		if err != nil {
-			t.Fatal(err)
+	build := func(blocks int) uint64 {
+		cfg := validConfig(t)
+		for i := 0; i < 64; i++ {
+			cfg.Files[msg.FileID(i)] = layout.File{ID: msg.FileID(i), StartDisk: i % 4, Blocks: blocks, BlockSize: 262144}
 		}
-		files := make(map[msg.FileID]layout.File)
-		// Content scales with the system: 100 blocks per disk.
-		for i := 0; i < cubs; i++ {
-			files[msg.FileID(i)] = layout.File{ID: msg.FileID(i), StartDisk: i, Blocks: 100, BlockSize: 4}
+		eng := sim.New(1)
+		clk := clock.Sim{Eng: eng}
+		net := netsim.New(netsim.DefaultParams(), clk, eng.Rand())
+		var best uint64
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			NewCub(0, cfg, clk, net, net, eng.Rand())
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; try == 0 || n < best {
+				best = n
+			}
 		}
-		cfg := &Config{Layout: lay, Sched: sp, BlockSize: 4,
-			DiskParams: disk.DefaultParams(), Files: files}
-		cfg.DefaultTimings()
-		idx := buildIndexes(cfg, []int{0})
-		return idx[0].size()
+		return best
 	}
-	small, large := perDisk(4), perDisk(16)
-	if large > small {
-		t.Fatalf("per-disk index grew with system size: %d -> %d", small, large)
+	short, long := build(100), build(1000)
+	if float64(long) > 1.1*float64(short) {
+		t.Fatalf("building a cub allocated %d bytes with 100-block files, %d with 1000-block files", short, long)
 	}
 }

@@ -170,8 +170,8 @@ type Cub struct {
 	failedDisks map[int]bool // this cub's own dead drives
 
 	// Striping generations (gen.go): one plane per installed generation,
-	// each holding that generation's Config and this cub's content index
-	// under its placement. nativeCubs is the cub count of the generation
+	// each holding that generation's Config, which places the copies on
+	// this cub's drives. nativeCubs is the cub count of the generation
 	// this cub was created under — the basis of its physical (native)
 	// disk numbering.
 	planes     map[int32]*genPlane
@@ -309,8 +309,8 @@ func NewCub(id msg.NodeID, cfg *Config, clk clock.Clock, net Transport, data Dat
 	c.resetMover()
 	// The birth configuration is generation 0 (Rebase relabels it for
 	// cubs joining an already-restriped system). Its disk numbering is
-	// the cub's native numbering, so the index keys pass through.
-	c.planes[0] = &genPlane{gen: 0, cfg: cfg, index: buildIndexes(cfg, diskNums)}
+	// the cub's native numbering.
+	c.planes[0] = &genPlane{gen: 0, cfg: cfg}
 	// Monitor liveness of the cubs we must make decisions about: up to
 	// max(2, decluster+1) hops in each ring direction, per generation.
 	c.refreshMonitored()

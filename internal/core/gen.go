@@ -15,11 +15,11 @@ import (
 // resizes the slot ring — but streams admitted under the old shape must
 // keep playing while streams admitted under the new shape ramp up. Each
 // cub therefore carries one *plane* per installed generation: the
-// generation's Config (layout, schedule geometry, file placement) plus
-// the content index of this cub's drives under that generation's
-// numbering. Which plane governs a message is encoded in the slot
-// number itself: the top bits of ViewerState.Slot carry the generation,
-// the low bits the raw slot. Slot ownership, ring forwarding, mirror
+// generation's Config (layout, schedule geometry, file placement), from
+// which the cub locates the copies on its drives under that generation's
+// numbering. Which plane governs a message is encoded in the slot number
+// itself: the top bits of ViewerState.Slot carry the generation, the low
+// bits the raw slot. Slot ownership, ring forwarding, mirror
 // declustering, and deschedule chasing all resolve against the plane of
 // the entry they touch, so the two schedules interleave on the same
 // spindles without ever sharing a slot — new slots "appear" as the new
@@ -27,9 +27,9 @@ import (
 //
 // Physical drives keep their *native* numbering — the disk numbers of
 // the generation the cub was created under — as the keys of the disk,
-// index, health, and failure maps. A generation-local disk number
-// converts to native via the cub-local disk index, which is invariant
-// across generations.
+// health, and failure maps. A generation-local disk number converts to
+// native via the cub-local disk index, which is invariant across
+// generations.
 
 // genShift is where the generation field starts inside a slot number.
 // 24 bits of raw slot is ~16M slots, far above any schedule; 7 bits of
@@ -66,12 +66,10 @@ func genDiskKey(g int32, gd int) int32 { return genBase(g) | int32(gd) }
 type genPlane struct {
 	gen int32
 	cfg *Config
-	// index maps native local disk number -> content index under this
-	// generation's placement. nil when this cub is not a participant of
-	// the generation (a retiring cub holds the plane only to fence).
-	index map[int]*diskIndex
 }
 
+// participatesIn is false when this cub serves nothing under the
+// generation (a retiring cub holds the plane only to fence).
 func (c *Cub) participatesIn(cfg *Config) bool {
 	return int(c.id) < cfg.Layout.Cubs
 }
@@ -105,24 +103,14 @@ func (c *Cub) activePlane() *genPlane { return c.planes[c.activeGen] }
 // ActiveGen returns the generation new insertions go to.
 func (c *Cub) ActiveGen() int32 { return c.activeGen }
 
-// InstallGen makes a generation's configuration known to the cub,
-// building the content index of its drives under the new placement.
+// InstallGen makes a generation's configuration known to the cub.
 // Idempotent; must be called on every cub before any slot of that
 // generation can circulate.
 func (c *Cub) InstallGen(gen int32, cfg *Config) {
 	if _, ok := c.planes[gen]; ok {
 		return
 	}
-	p := &genPlane{gen: gen, cfg: cfg}
-	if c.participatesIn(cfg) {
-		genDisks := cfg.Layout.DisksOfCub(c.id)
-		built := buildIndexes(cfg, genDisks)
-		p.index = make(map[int]*diskIndex, len(built))
-		for gd, di := range built {
-			p.index[c.nativeDisk(cfg.Layout, gd)] = di
-		}
-	}
-	c.planes[gen] = p
+	c.planes[gen] = &genPlane{gen: gen, cfg: cfg}
 	c.refreshMonitored()
 }
 

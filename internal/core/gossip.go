@@ -179,12 +179,11 @@ func (c *Cub) issueRead(key entryKey) {
 	}
 	c.cpu.ChargeDiskOp()
 	p := c.planeOf(key.slot)
-	if p == nil || p.index == nil || p.index[e.disk] == nil {
+	if p == nil || !c.participatesIn(p.cfg) {
 		c.stats.IndexMisses++
 		return
 	}
-	part := key.part
-	ie, err := p.index[e.disk].lookup(e.vs.File, e.vs.Block, part)
+	ie, err := locate(p.cfg, c.genLocalDisk(p.cfg.Layout, e.disk), e.vs.File, e.vs.Block, key.part)
 	if err != nil {
 		c.stats.IndexMisses++
 		return

@@ -7,23 +7,6 @@ import (
 	"tiger/internal/msg"
 )
 
-// blockKey identifies one copy of one block on one disk.
-type blockKey struct {
-	file  msg.FileID
-	block int32
-	part  int8 // -1 for the primary copy, else the mirror piece index
-}
-
-// diskIndex is a cub's in-memory index of the contents of one disk's
-// primary and secondary regions. The paper stores this metadata in cub
-// memory rather than on the data disks: blocks are large so there is
-// little of it, and an extra metadata seek before every block read would
-// cost too much and add start latency (§4.1.1).
-type diskIndex struct {
-	disk    int
-	entries map[blockKey]indexEntry
-}
-
 // indexEntry is the 64-bit-ish locator the paper describes: enough to
 // find the block on the platters.
 type indexEntry struct {
@@ -31,49 +14,36 @@ type indexEntry struct {
 	bytes int64
 }
 
-// buildIndexes enumerates every file in the configuration and records
-// which primary blocks and mirror pieces land on each of the given
-// disks. This is what a real cub builds at startup by reading its disks'
-// headers.
-func buildIndexes(cfg *Config, disks []int) map[int]*diskIndex {
-	idx := make(map[int]*diskIndex, len(disks))
-	mine := make(map[int]bool, len(disks))
-	for _, d := range disks {
-		idx[d] = &diskIndex{disk: d, entries: make(map[blockKey]indexEntry)}
-		mine[d] = true
+// copyShape returns where on the platters, and how large, one copy of a
+// block is: a primary (part -1) fills BlockSize bytes of the fast outer
+// zone, a mirror piece MirrorPartSize bytes of the inner zone (§2.3).
+func copyShape(cfg *Config, part int8) indexEntry {
+	if part < 0 {
+		return indexEntry{zone: disk.Outer, bytes: cfg.BlockSize}
 	}
-	for _, f := range cfg.Files {
-		for b := 0; b < f.Blocks; b++ {
-			p := cfg.Layout.PrimaryDisk(f, b)
-			if mine[p] {
-				idx[p].entries[blockKey{f.ID, int32(b), -1}] = indexEntry{
-					zone: disk.Outer, bytes: cfg.BlockSize,
-				}
-			}
-			for part := 0; part < cfg.Layout.Decluster; part++ {
-				s := cfg.Layout.SecondaryDisk(f, b, part)
-				if mine[s] {
-					idx[s].entries[blockKey{f.ID, int32(b), int8(part)}] = indexEntry{
-						zone: disk.Inner, bytes: cfg.MirrorPartSize(),
-					}
-				}
-			}
-		}
-	}
-	return idx
+	return indexEntry{zone: disk.Inner, bytes: cfg.MirrorPartSize()}
 }
 
-// lookup finds a block copy on the disk, failing loudly if the layout
-// math and the index disagree — that is always a bug, not a runtime
-// condition.
-func (di *diskIndex) lookup(file msg.FileID, block int32, part int8) (indexEntry, error) {
-	e, ok := di.entries[blockKey{file, block, part}]
-	if !ok {
+// locate finds a block copy on one of a generation's disks (numbered in
+// that generation). The paper keeps this metadata in cub memory rather
+// than on the data disks, since an extra metadata seek before every
+// block read would cost too much (§4.1.1); here the striping arithmetic
+// is that memory, so a cub holds nothing per block. An error means the
+// layout does not place the copy on the disk, which is always a bug,
+// not a runtime condition.
+func locate(cfg *Config, gd int, file msg.FileID, block int32, part int8) (indexEntry, error) {
+	f, ok := cfg.Files[file]
+	on := -1 // stays -1 when the file, block or part is out of range
+	switch {
+	case !ok || block < 0 || int(block) >= f.Blocks:
+	case part < 0:
+		on = cfg.Layout.PrimaryDisk(f, int(block))
+	case int(part) < cfg.Layout.Decluster:
+		on = cfg.Layout.SecondaryDisk(f, int(block), int(part))
+	}
+	if on != gd {
 		return indexEntry{}, fmt.Errorf("disk %d: no copy of file %d block %d part %d",
-			di.disk, file, block, part)
+			gd, file, block, part)
 	}
-	return e, nil
+	return copyShape(cfg, part), nil
 }
-
-// size returns the number of indexed copies on this disk.
-func (di *diskIndex) size() int { return len(di.entries) }

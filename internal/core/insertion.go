@@ -21,7 +21,7 @@ import (
 
 func (c *Cub) onStartPlay(sp msg.StartPlay) {
 	ap := c.activePlane()
-	if ap == nil || ap.index == nil {
+	if ap == nil || !c.participatesIn(ap.cfg) {
 		return // not a participant of the admitting generation
 	}
 	f, ok := ap.cfg.Files[sp.File]

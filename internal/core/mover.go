@@ -58,8 +58,12 @@ type mvJob struct {
 	out   bool          // true: source read; false: destination write
 	order msg.MoveOrder // set when out
 	data  msg.MoveData  // set when !out
-	bytes int64
-	zone  disk.Zone
+	// The payload's size and platter zone, from the birth configuration:
+	// block and piece sizes are generation-invariant (a restripe
+	// re-homes blocks, it does not resize them), and Alt re-routes read
+	// a redundant copy but still ship a full payload — modeled at
+	// primary size for simplicity.
+	indexEntry
 }
 
 func (j *mvJob) key() mvKey {
@@ -118,18 +122,6 @@ func (c *Cub) MoverInflight() int {
 	return n
 }
 
-// moveBytesZone returns the size and platter zone of one move payload.
-// Derived from the birth configuration: block and piece sizes are
-// generation-invariant (a restripe re-homes blocks, it does not resize
-// them), and Alt re-routes read a redundant copy but still ship a full
-// payload — modeled at primary size for simplicity.
-func (c *Cub) moveBytesZone(part int8) (int64, disk.Zone) {
-	if part < 0 {
-		return c.cfg.BlockSize, disk.Outer
-	}
-	return c.cfg.MirrorPartSize(), disk.Inner
-}
-
 // localDiskOfIdx maps a cub-local drive index (the wire addressing of
 // move messages) to the native disk number keying c.disks.
 func (c *Cub) localDiskOfIdx(idx int8) int {
@@ -156,8 +148,7 @@ func (c *Cub) onMoveOrder(t msg.MoveOrder) {
 		return
 	}
 	c.mover.queued[k] = true
-	bytes, zone := c.moveBytesZone(t.Part)
-	c.enqueueMove(d, &mvJob{out: true, order: t, bytes: bytes, zone: zone})
+	c.enqueueMove(d, &mvJob{out: true, order: t, indexEntry: copyShape(c.cfg, t.Part)})
 }
 
 // onMoveData is the destination side: land the copy on the target drive
@@ -186,8 +177,7 @@ func (c *Cub) onMoveData(t msg.MoveData) {
 			return
 		}
 	}
-	bytes, zone := c.moveBytesZone(t.Part)
-	c.enqueueMove(d, &mvJob{out: false, data: t, bytes: bytes, zone: zone})
+	c.enqueueMove(d, &mvJob{out: false, data: t, indexEntry: copyShape(c.cfg, t.Part)})
 }
 
 // enqueueMove adds a copy job to a drive's FIFO and kicks the drive if

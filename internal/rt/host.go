@@ -280,7 +280,7 @@ func (h *ControllerHost) onAck(inst msg.InstanceID, slot int32, waited time.Dura
 	if rt.addr == "" {
 		return
 	}
-	h.Mesh.viewerPeer(rt.addr).send(&msg.StartAck{Viewer: rt.viewer, Instance: inst, Slot: slot}, h.Mesh)
+	h.Mesh.sendViewer(rt.addr, &msg.StartAck{Viewer: rt.viewer, Instance: inst, Slot: slot})
 }
 
 // Close stops the controller host.

@@ -224,6 +224,12 @@ func (m *Mesh) Send(from, to msg.NodeID, mm msg.Message) {
 		panic(fmt.Sprintf("rt: node %v sending as %v", m.self, from))
 	}
 	m.mu.Lock()
+	if m.closed {
+		// Close has stopped every writer; one spawned now would outlive
+		// the mesh.
+		m.mu.Unlock()
+		return
+	}
 	p, ok := m.peers[to]
 	if !ok {
 		addr, known := m.addrs[to]
@@ -351,19 +357,25 @@ func (m *Mesh) SendBlock(from msg.NodeID, d netsim.BlockDelivery, pace time.Dura
 			Bytes:    d.Bytes,
 			Payload:  payload,
 		}
-		m.viewerPeer(addr).send(bd, m)
+		m.sendViewer(addr, bd)
 	})
 }
 
-func (m *Mesh) viewerPeer(addr string) *peer {
+// sendViewer queues mm for the viewer listening at addr, dropping it
+// once the mesh is closed, as Send does.
+func (m *Mesh) sendViewer(addr string, mm msg.Message) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.viewers[addr]; ok {
-		return p
+	if m.closed {
+		m.mu.Unlock()
+		return
 	}
-	p := m.newPeer(addr)
-	m.viewers[addr] = p
-	return p
+	p, ok := m.viewers[addr]
+	if !ok {
+		p = m.newPeer(addr)
+		m.viewers[addr] = p
+	}
+	m.mu.Unlock()
+	p.send(mm, m)
 }
 
 // testPattern returns a deterministic stand-in for video payload,

@@ -67,6 +67,27 @@ func TestNodeClock(t *testing.T) {
 	}
 }
 
+// TestClosedMeshSpawnsNoWriter: a node's executor can still send after
+// its host closed the mesh. Such a send must not start a writer
+// goroutine, since Close has already stopped the ones it knew of.
+func TestClosedMeshSpawnsNoWriter(t *testing.T) {
+	node := NewNode(time.Now())
+	defer node.Close()
+	m, err := NewMesh(0, node, "127.0.0.1:0", map[msg.NodeID]string{1: "127.0.0.1:1"},
+		func(msg.NodeID, msg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	m.Send(0, 1, &msg.Heartbeat{From: 0})
+	m.sendViewer("127.0.0.1:1", &msg.StartAck{})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.peers) != 0 || len(m.viewers) != 0 {
+		t.Fatalf("closed mesh started %d peer and %d viewer writers", len(m.peers), len(m.viewers))
+	}
+}
+
 func TestMeshRoundTrip(t *testing.T) {
 	epoch := time.Now()
 	nodeA := NewNode(epoch)

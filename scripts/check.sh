@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate:
-#   formatting, vet, build everything, the fast test tier, the race
-#   detector on the packages with real concurrency (the TCP runtime, the
-#   protocol core under its executors, and the event engine that parallel
-#   sweeps instantiate per worker), a single-shot benchmark smoke pass,
-#   and a tigerd smoke test of the debug/metrics endpoints.
+#   formatting, vet, build everything, the fast test tier, vet and tests
+#   of the benchmark module, the race detector on the packages with real
+#   concurrency (the TCP runtime, the protocol core under its executors,
+#   and the event engine that parallel sweeps instantiate per worker), a
+#   single-shot benchmark smoke pass, and a tigerd smoke test of the
+#   debug/metrics endpoints.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,11 @@ fi
 go vet ./...
 go build ./...
 go test -short ./...
+
+# The benchmark is its own module (perfbench/go.mod replaces tiger with
+# this checkout), so the root commands above never compile it.
+(cd perfbench && go vet ./... && go test ./...)
+
 go test -race ./internal/rt ./internal/core ./internal/obs ./internal/sim ./internal/netsim ./internal/chaos ./internal/disk
 
 # Chaos gate: the short tier above already runs TestChaosSmoke (a full

@@ -415,7 +415,7 @@ func New(o Options) (*Cluster, error) {
 	return c, nil
 }
 
-// Sharded reports the shard count driving this cluster (1 when the
+// Shards reports the shard count driving this cluster (1 when the
 // simulation is single-engine).
 func (c *Cluster) Shards() int {
 	if c.sharded == nil {
